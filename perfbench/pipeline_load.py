@@ -21,7 +21,6 @@ from repro.algorithms.ref import RefScheduler
 from repro.core.multikernel import MultiInstanceKernel
 from repro.experiments import pipeline as pipeline_mod
 from repro.experiments.pipeline import run_instance_spec, run_pipeline
-from repro.experiments.registry import get_family
 from repro.experiments.spec import ScenarioSpec
 
 from .checks import CheckFailed, Ops
@@ -43,8 +42,8 @@ class PipelineShape:
     """The fixed shape of the sweep; the seed picks the instances."""
 
     org_counts: "tuple[int, ...]" = (3, 5, 7)
-    duration: int = 8_000
-    repeats: int = 4
+    duration: int = 2_000
+    repeats: int = 16
 
     def spec(self, seed: int) -> ScenarioSpec:
         return ScenarioSpec(
@@ -70,15 +69,6 @@ class PipelineRun:
         self._reference: "dict | None" = None
         self._first: "tuple | None" = None
 
-    def setup(self) -> "tuple[ScenarioSpec, int, float]":
-        """Generate the spec and every instance's workload; returns the
-        spec, the total job count and the seconds it took."""
-        t0 = time.perf_counter()
-        spec = self.shape.spec(self.seed)
-        build = get_family(spec.family)
-        n_jobs = sum(len(build(spec, i)[0].jobs) for i in spec.instances())
-        return spec, n_jobs, time.perf_counter() - t0
-
     def reference(self, spec: ScenarioSpec) -> dict:
         """The per-instance path's result for the first instance of each k."""
         if self._reference is None:
@@ -92,8 +82,17 @@ class PipelineRun:
         return self._reference
 
     def pipeline_pass(self, tracer: "Tracer | None" = None) -> dict:
-        spec, n_jobs, setup_s = self.setup()
+        """One ``run_pipeline`` call.  Its set-up time is the spec's
+        generation plus the time the pipeline spends building the
+        instances' workloads, which it does for a whole shard before it
+        simulates any of them."""
+        t0 = time.perf_counter()
+        spec = self.shape.spec(self.seed)
         n_inst = len(spec.instances())
+        spec_s = time.perf_counter() - t0
+        build_s = [0.0]
+        original_get_family = pipeline_mod.get_family
+        pipeline_mod.get_family = _timed_family(original_get_family, build_s)
         if tracer is not None:
             _wrap_pipeline(tracer, self)
         try:
@@ -105,9 +104,11 @@ class PipelineRun:
         finally:
             if tracer is not None:
                 tracer.unwrap()
+            pipeline_mod.get_family = original_get_family
         self.check(spec, result)
+        n_jobs = sum(r.n_jobs for r in result.instances)
         return {
-            "setup_s": setup_s,
+            "setup_s": spec_s + build_s[0],
             "pass_s": wall,
             "events_per_s": n_jobs / wall,
             "instances_per_s": n_inst / wall,
@@ -130,6 +131,24 @@ class PipelineRun:
             self._first = result.instances
         elif result.instances != self._first:
             raise CheckFailed("pipeline results differ between passes")
+
+
+def _timed_family(get_family, total_s: "list[float]"):
+    """``get_family`` whose builders add their run time to ``total_s[0]``."""
+
+    def timed_get_family(name):
+        build = get_family(name)
+
+        def timed(spec, inst):
+            t0 = time.perf_counter()
+            try:
+                return build(spec, inst)
+            finally:
+                total_s[0] += time.perf_counter() - t0
+
+        return timed
+
+    return timed_get_family
 
 
 def _wrap_pipeline(tracer: Tracer, run: PipelineRun) -> None:

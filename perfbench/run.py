@@ -146,7 +146,7 @@ def shapes(size: str) -> dict:
         }
     return {
         "gateway-fifo-storm": GatewayShape("fifo", 64, 8, 30_000, 1_000),
-        "gateway-ref-long": GatewayShape("ref", 16, 2, 4_000, 1_000),
+        "gateway-ref-long": GatewayShape("ref", 16, 2, 4_400, 1_100),
         "pipeline-ksweep": PipelineShape(),
     }
 

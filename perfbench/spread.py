@@ -3,13 +3,11 @@
 
     python3 perfbench/spread.py --workload gateway-ref-long --runs 10
 
-runs ``perfbench/run.py`` once per seed (1..runs, or from ``--first-seed``)
-with the ``run_seconds`` of ``BENCHMARK.json``, one run at a time, and
-prints for each end-to-end metric its median, its quartiles and the
-quartile distance as a share of the median, next to the metric's bound.
-A spread above a third of its bound is flagged; ``setup_s`` is shown but
-its spread is not held to a bound.  ``--json`` also writes every run's
-values, so two sets of runs can be compared median against median.
+runs ``perfbench/run.py`` once per seed 1..runs with the ``run_seconds``
+of ``BENCHMARK.json``, one run at a time, and prints for each end-to-end
+metric its median, its quartiles and the quartile distance as a share of
+the median, next to the metric's bound.  A spread above a third of its
+bound is flagged, and one above the bound itself is flagged louder.
 """
 
 from __future__ import annotations
@@ -28,14 +26,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--json", help="write every run's metrics here")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     values: "dict[str, list[float]]" = {name: [] for name in bounds}
-    for seed in range(args.first_seed, args.first_seed + args.runs):
+    for seed in range(1, args.runs + 1):
         cmd = [
             sys.executable,
             "perfbench/run.py",
@@ -69,14 +65,14 @@ def main(argv=None) -> int:
         q1, med, q3 = statistics.quantiles(vals, n=4)
         spread = (q3 - q1) / med
         flag = ""
-        if name != "setup_s" and spread > bounds[name] / 3:
+        if spread > bounds[name]:
+            flag = "  <-- ABOVE BOUND"
+        elif spread > bounds[name] / 3:
             flag = "  <-- above bound/3"
         print(
             f"{name:14s} median {med:.6g}  q1 {q1:.6g}  q3 {q3:.6g}  "
             f"spread {spread:.4f}  bound {bounds[name]}{flag}"
         )
-    if args.json:
-        Path(args.json).write_text(json.dumps(values, indent=1))
     return 0
 
 

@@ -25,6 +25,7 @@ run.import_program()
 
 from perfbench import gateway_load, pipeline_load  # noqa: E402
 from perfbench.trace import Tracer  # noqa: E402
+from repro.experiments.registry import get_family  # noqa: E402
 
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 TINY = run.shapes("tiny")
@@ -85,7 +86,7 @@ def test_two_seeds_give_different_inputs_and_the_same_metric_names():
         assert streams[0] != streams[1]
     shape = TINY["pipeline-ksweep"]
     specs = [shape.spec(s) for s in (1, 2)]
-    build = pipeline_load.get_family("synthetic")
+    build = get_family("synthetic")
     jobs = [
         [build(spec, inst)[0].jobs for inst in spec.instances()]
         for spec in specs
@@ -97,6 +98,18 @@ def test_two_seeds_give_different_inputs_and_the_same_metric_names():
         assert code == 0
         names.append(sorted(result_of(out)["metrics"]))
     assert names[0] == names[1]
+
+
+def test_full_gateway_shapes_give_at_least_1000_ticks():
+    # the tick percentiles promise p99 at least ten samples to stand on
+    full = run.shapes("full")
+    for name in ("gateway-fifo-storm", "gateway-ref-long"):
+        shape = full[name]
+        for seed in range(1, 11):
+            stream = gateway_load.generate_stream(
+                shape.config(seed), shape.spec(seed)
+            )
+            assert len({release for release, _, _ in stream}) >= 1000
 
 
 def test_tampered_gateway_digest_fails_the_run(monkeypatch, capsys):
