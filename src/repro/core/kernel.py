@@ -187,24 +187,27 @@ class FleetKernel:
         per_org: list[list[Job]] = [[] for _ in range(k)]
         for j in sorted(workload.jobs):
             per_org[j.org].append(j)
-        self.jobs_flat: list[Job] = [j for org in per_org for j in org]
+        # every job gets a stable id, the initial stream in canonical order
+        # and online submits in ingest order.  The start log names jobs by
+        # id, never by stream position, so an online splice moves stream
+        # positions without rewriting history: ``id_flat`` maps position ->
+        # id and is spliced with the streams, ``jobs_by_id`` and
+        # ``size_by_id`` (grown geometrically) are append-only
+        self.jobs_by_id: list[Job] = [j for org in per_org for j in org]
+        n_jobs = len(self.jobs_by_id)
+        self.id_flat = np.arange(n_jobs, dtype=np.int64)
         counts = np.array([len(o) for o in per_org], dtype=np.int64)
         self.org_start = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(counts, out=self.org_start[1:])
         # one trailing sentinel pads the flat arrays so clipped gathers of an
         # exhausted / empty organization stay in bounds (never selected)
         self.rel_flat = np.fromiter(
-            (j.release for j in self.jobs_flat),
-            dtype=np.int64,
-            count=len(self.jobs_flat),
+            (j.release for j in self.jobs_by_id), dtype=np.int64, count=n_jobs
         )
-        self.size_flat = np.fromiter(
-            (j.size for j in self.jobs_flat),
-            dtype=np.int64,
-            count=len(self.jobs_flat),
-        )
+        self.size_by_id = np.empty(max(n_jobs, 256), dtype=np.int64)
+        self.size_by_id[:n_jobs] = [j.size for j in self.jobs_by_id]
         self.rel_flat = np.append(self.rel_flat, _FAR)
-        self.size_flat = np.append(self.size_flat, 1)
+        self.size_flat = np.append(self.size_by_id[:n_jobs], 1)
 
         #: global per-org released-job counts (shared by every row)
         self.released = np.zeros(k, dtype=np.int64)
@@ -227,6 +230,7 @@ class FleetKernel:
         self.version = np.zeros(n, dtype=np.int64)
 
         # --- global chronological start log (SoA, grown geometrically) -----
+        # one (row, start, machine, job id) entry per start; append-only
         cap = 256
         self._log_row = np.empty(cap, dtype=np.int64)
         self._log_start = np.empty(cap, dtype=np.int64)
@@ -238,7 +242,7 @@ class FleetKernel:
         self._used = False
         # running certification inputs (extended by submit)
         self._total_units = int(self.size_flat[:-1].sum())
-        self._max_release = int(self.rel_flat[:-1].max()) if len(self.jobs_flat) else 0
+        self._max_release = int(self.rel_flat[:-1].max()) if n_jobs else 0
         if horizon is not None:
             self._max_release = max(self._max_release, horizon)
 
@@ -412,12 +416,12 @@ class FleetKernel:
         nf = int(fins.min())
         if nf < self._next_fin:
             self._next_fin = nf
-        self._log_append(rows, mach, flat, t)
+        self._log_append(rows, mach, self.id_flat[flat], t)
         if self.events is not None:
             for end in set(fins.tolist()):
                 self.events.push(end)
 
-    def _log_append(self, rows, mach, flat, t) -> None:
+    def _log_append(self, rows, mach, ids, t) -> None:
         b = len(rows)
         need = self._log_len + b
         if need > len(self._log_row):
@@ -431,7 +435,7 @@ class FleetKernel:
         self._log_row[s] = rows
         self._log_start[s] = t
         self._log_mach[s] = mach
-        self._log_job[s] = flat
+        self._log_job[s] = ids
         self._log_len = need
 
     # ------------------------------------------------------------------
@@ -457,7 +461,7 @@ class FleetKernel:
         elif not (0 <= machine < self.n_mach and self.free[row, machine]):
             raise ValueError(f"machine {machine} is not free at t={t}")
         flat = int(self.org_start[org] + self.started[row, org])
-        job = self.jobs_flat[flat]
+        job = self.jobs_by_id[int(self.id_flat[flat])]
         self.finish[row, machine] = t + job.size
         self.run_org[row, machine] = org
         self.run_start[row, machine] = t
@@ -473,7 +477,7 @@ class FleetKernel:
         self._log_append(
             np.array([row], dtype=np.int64),
             np.array([machine], dtype=np.int64),
-            np.array([flat], dtype=np.int64),
+            self.id_flat[flat : flat + 1],
             t,
         )
         return ScheduledJob(t, machine, job)
@@ -485,6 +489,19 @@ class FleetKernel:
         out[pos] = value
         out[pos + 1 :] = arr[pos:]
         return out
+
+    def _assign_ids(self, jobs: "list[Job]") -> np.ndarray:
+        """Give ``jobs`` the next stable ids (append-only tables); called
+        only after the certification check, so refusals mutate nothing."""
+        lo = len(self.jobs_by_id)
+        hi = lo + len(jobs)
+        if hi > len(self.size_by_id):
+            grown = np.empty(max(hi, 2 * len(self.size_by_id)), dtype=np.int64)
+            grown[:lo] = self.size_by_id[:lo]
+            self.size_by_id = grown
+        self.size_by_id[lo:hi] = [j.size for j in jobs]
+        self.jobs_by_id.extend(jobs)
+        return np.arange(lo, hi, dtype=np.int64)
 
     def submit(self, job: Job) -> None:
         """Inject one job into the shared stream (online ingestion): every
@@ -504,17 +521,17 @@ class FleetKernel:
         u = job.org
         lo = int(self.org_start[u] + self.released[u])
         hi = int(self.org_start[u + 1])
-        pos = lo + bisect_right(self.jobs_flat[lo:hi], job)
-        self.jobs_flat.insert(pos, job)
+        pos = bisect_right(
+            self.id_flat, job, lo, hi, key=self.jobs_by_id.__getitem__
+        )
+        jid = int(self._assign_ids([job])[0])
         # manual splice: ~5x cheaper than np.insert's generic machinery on
-        # this per-op hot path (online ingest runs it once per job)
+        # this per-op hot path (online ingest runs it once per job).  The
+        # start log names jobs by stable id, so it is not touched
         self.rel_flat = self._splice_one(self.rel_flat, pos, job.release)
         self.size_flat = self._splice_one(self.size_flat, pos, job.size)
+        self.id_flat = self._splice_one(self.id_flat, pos, jid)
         self.org_start[u + 1 :] += 1
-        # log/job indices at or past the insertion point shift by one
-        if self._log_len:
-            live = self._log_job[: self._log_len]
-            live[live >= pos] += 1
         self._total_units = total
         self._max_release = rel
         self._org_clip = np.maximum(
@@ -524,7 +541,7 @@ class FleetKernel:
 
     def submit_many(self, jobs: "list[Job]") -> None:
         """Inject a whole ingest batch into the shared stream with *one*
-        certification check and one set of array splices (amortizing the
+        certification check and one set of stream splices (amortizing the
         per-op :meth:`submit` cost).  Raises :class:`KernelUnsafe` before
         any mutation when absorbing the batch could break the int64
         certification -- the batch is all-or-nothing, so the fleet's
@@ -535,7 +552,9 @@ class FleetKernel:
         ``np.insert`` places simultaneous insertions exactly where
         sequential ones would land (values at duplicate positions keep
         their given order, which org-major sorting makes the stream
-        order).
+        order).  The start log and the id tables are append-only: the
+        splice moves stream positions, never a logged start, so the cost
+        is O(batch) Python work plus contiguous copies of the stream.
         """
         if len(jobs) == 1:
             self.submit(jobs[0])
@@ -560,38 +579,22 @@ class FleetKernel:
         # index) order is the stream order
         ordered = sorted(jobs, key=lambda j: (j.org, j))
         pos = np.empty(len(ordered), dtype=np.int64)
+        job_at = self.jobs_by_id.__getitem__
         for i, job in enumerate(ordered):
             u = job.org
             lo = int(self.org_start[u] + self.released[u])
             hi = int(self.org_start[u + 1])
-            pos[i] = lo + bisect_right(self.jobs_flat[lo:hi], job)
-        # splice the Job list by merging in position order (stable: equal
-        # positions keep the canonical job order, matching np.insert)
-        order = np.argsort(pos, kind="stable")
-        new_jobs: "list[Job]" = []
-        prev = 0
-        for oi in order:
-            p = int(pos[oi])
-            new_jobs.extend(self.jobs_flat[prev:p])
-            new_jobs.append(ordered[int(oi)])
-            prev = p
-        new_jobs.extend(self.jobs_flat[prev:])
-        self.jobs_flat = new_jobs
+            pos[i] = bisect_right(self.id_flat, job, lo, hi, key=job_at)
+        ids = self._assign_ids(ordered)
         self.rel_flat = np.insert(
             self.rel_flat, pos, [j.release for j in ordered]
         )
         self.size_flat = np.insert(
             self.size_flat, pos, [j.size for j in ordered]
         )
-        counts = np.zeros(self.k, dtype=np.int64)
-        np.add.at(counts, [j.org for j in ordered], 1)
+        self.id_flat = np.insert(self.id_flat, pos, ids)
+        counts = np.bincount([j.org for j in ordered], minlength=self.k)
         self.org_start[1:] += np.cumsum(counts)
-        # a live log/job index f shifts by the number of insertions at or
-        # before it (the simultaneous form of the per-op ``>= pos`` bump)
-        if self._log_len:
-            spos = np.sort(pos)
-            live = self._log_job[: self._log_len]
-            live += np.searchsorted(spos, live, side="right")
         self._total_units = total
         self._max_release = rel
         self._org_clip = np.maximum(
@@ -670,7 +673,7 @@ class FleetKernel:
         if not n:
             return out
         starts = self._log_start[:n]
-        sizes = self.size_flat[self._log_job[:n]]
+        sizes = self.size_by_id[self._log_job[:n]]
         c = np.clip(t - starts, 0, sizes)
         vals = c * (t - starts) - c * (c - 1) // 2
         np.add.at(out, self._log_row[:n], vals)
@@ -701,7 +704,7 @@ class FleetKernel:
     def row_entries(self, row: int) -> "list[ScheduledJob]":
         """The row's start log in chronological order (exact objects)."""
         idx = self.row_log_indices(row)
-        jobs = self.jobs_flat
+        jobs = self.jobs_by_id
         return [
             ScheduledJob(
                 int(self._log_start[i]),
@@ -766,7 +769,6 @@ class FleetKernel:
         eng.n_orgs = self.k
         eng.members = members
         eng.horizon = self.horizon
-        member_set = set(members)
         eng.machine_owner = {
             int(m): int(self.machine_org[m])
             for m in range(self.n_mach)
@@ -776,17 +778,30 @@ class FleetKernel:
         eng._free = sorted(int(m) for m in np.flatnonzero(self.free[row]))
         eng._free_set = set(eng._free)
         heapq.heapify(eng._free)
-        # shared canonical stream, restricted to members (includes submits)
-        stream = sorted(j for j in self.jobs_flat if j.org in member_set)
-        eng._stream = stream
-        eng._stream_pos = int(
-            sum(self.released[u] for u in members)
-        )
+        # shared canonical stream, restricted to members (includes
+        # submits): the released prefix, then the unreleased suffix.  One
+        # sort over both would misplace a job submitted at the current time
+        # after that time's releases (it sorts among released jobs but has
+        # not been released yet)
+        jobs = self.jobs_by_id
+
+        def stream(lo, hi) -> "list[Job]":
+            return [jobs[i] for i in self.id_flat[lo:hi].tolist()]
+
+        released: "list[Job]" = []
+        pending: "list[Job]" = []
+        for u in members:
+            lo = int(self.org_start[u])
+            mid = lo + int(self.released[u])
+            released.extend(stream(lo, mid))
+            pending.extend(stream(mid, int(self.org_start[u + 1])))
+        eng._stream = sorted(released) + sorted(pending)
+        eng._stream_pos = len(released)
         eng._pending = {}
         for u in members:
             lo = int(self.org_start[u] + self.started[row, u])
             hi = int(self.org_start[u] + self.released[u])
-            eng._pending[u] = deque(self.jobs_flat[lo:hi])
+            eng._pending[u] = deque(stream(lo, hi))
         eng._n_waiting = int(sum(len(q) for q in eng._pending.values()))
         eng.t = self.t
         running_m = np.flatnonzero(self.finish[row] < _FAR)
@@ -798,8 +813,8 @@ class FleetKernel:
         for m in running_m:
             s = int(self.run_start[row, m])
             size = int(self.finish[row, m]) - s
-            flat = self._find_running_job(row, int(m), s, size)
-            eng._running[int(m)] = RunningJob(flat, s, int(m))
+            job = self._find_running_job(row, int(m), s, size)
+            eng._running[int(m)] = RunningJob(job, s, int(m))
         eng._retiring = set()
         eng._retired = set()
         eng._done_units = self.done_units[row].tolist()
@@ -831,7 +846,7 @@ class FleetKernel:
         idx = self.row_log_indices(row)
         for i in idx[::-1]:  # most recent start on that machine wins
             if int(self._log_mach[i]) == machine:
-                return self.jobs_flat[int(self._log_job[i])]
+                return self.jobs_by_id[int(self._log_job[i])]
         raise RuntimeError(
             f"no log entry for running job on row {row} machine {machine}"
         )  # pragma: no cover - running implies a logged start

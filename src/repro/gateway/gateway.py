@@ -96,6 +96,52 @@ MUTATING_OPS = frozenset(
 )
 
 
+class LatencyHistogram:
+    """Fixed log-bucket histogram of round-trip latencies.
+
+    Memory is constant however many samples arrive (the gateway records
+    one per forwarded submit, forever).  Samples are kept in whole
+    microseconds: values below 32 us get one bucket each, larger ones 16
+    buckets per power of two (<= 6.25% relative bucket width), capped at
+    2^40 us.  Recording is a handful of integer ops; a percentile walks
+    the fixed bucket array once.
+    """
+
+    _MAX_US = (1 << 40) - 1
+
+    __slots__ = ("counts", "n")
+
+    def __init__(self) -> None:
+        # bucket (shift << 4) + (us >> shift) keeps the top five bits of
+        # ``us``; the largest index (for _MAX_US) is 16 * 36 + 31
+        self.counts = [0] * (16 * 37)
+        self.n = 0
+
+    def record(self, seconds: float) -> None:
+        us = min(int(seconds * 1e6), self._MAX_US)
+        shift = max(us.bit_length() - 5, 0)
+        self.counts[(shift << 4) + (us >> shift)] += 1
+        self.n += 1
+
+    @staticmethod
+    def _midpoint_us(idx: int) -> float:
+        shift = max((idx >> 4) - 1, 0)
+        lower = (idx - (shift << 4)) << shift
+        return lower + (1 << shift) / 2
+
+    def percentile_ms(self, q: float) -> float:
+        """The ``q``-quantile (nearest rank) as its bucket's midpoint."""
+        if not self.n:
+            return 0.0
+        rank = min(self.n - 1, int(q * (self.n - 1) + 0.5))
+        seen = 0
+        for idx, c in enumerate(self.counts):
+            seen += c
+            if seen > rank:
+                return self._midpoint_us(idx) / 1000.0
+        raise AssertionError("unreachable: rank < n")  # pragma: no cover
+
+
 class GatewayError(RuntimeError):
     """A transport-level gateway failure (not an in-band command error)."""
 
@@ -328,7 +374,7 @@ class ShardPool:
             s: [] for s in config.shard_ids()
         }
         self.checkpointed: "set[int]" = set()
-        self.latencies_s: "list[float]" = []
+        self.latency = LatencyHistogram()
         self.lost_responses = 0
         self.restores = 0
         self._next_id = 0
@@ -888,7 +934,7 @@ class ShardPool:
         sent = time.perf_counter()
 
         def cb(resp: dict) -> None:
-            self.latencies_s.append(time.perf_counter() - sent)
+            self.latency.record(time.perf_counter() - sent)
             if callback is not None:
                 callback(resp)
 
@@ -1379,15 +1425,11 @@ class Gateway:
 
     def latency_percentiles(self) -> "dict[str, float]":
         """Ingest round-trip latency percentiles (milliseconds)."""
-        lat = sorted(self.pool.latencies_s)
-        if not lat:
-            return {"p50_ms": 0.0, "p99_ms": 0.0}
-
-        def pct(q: float) -> float:
-            idx = min(len(lat) - 1, int(q * (len(lat) - 1) + 0.5))
-            return lat[idx] * 1000.0
-
-        return {"p50_ms": round(pct(0.50), 4), "p99_ms": round(pct(0.99), 4)}
+        hist = self.pool.latency
+        return {
+            "p50_ms": round(hist.percentile_ms(0.50), 4),
+            "p99_ms": round(hist.percentile_ms(0.99), 4),
+        }
 
     def stats_line(self) -> str:
         """One compact periodic-stats line (``repro gateway`` heartbeat)."""

@@ -37,6 +37,7 @@ from repro.gateway import (
     verify_against_batch,
     worker_of,
 )
+from repro.gateway.gateway import LatencyHistogram
 from repro.gateway.worker import serve_shards, shard_snapshot_path
 from repro.service.snapshot import load_snapshot
 
@@ -385,6 +386,31 @@ class TestGatewayFleet:
             )
         assert report.p50_ms > 0
         assert report.p99_ms >= report.p50_ms
+
+    def test_latency_histogram_memory_is_flat(self):
+        import random
+        import tracemalloc
+
+        rng = random.Random(7)
+        samples = [rng.lognormvariate(-7, 1.5) for _ in range(100_000)]
+        hist = LatencyHistogram()
+        n_buckets = len(hist.counts)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for x in samples:
+                hist.record(x)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert hist.n == len(samples)
+        assert len(hist.counts) == n_buckets
+        assert after - before < 4096  # 10^5 samples keep nothing alive
+        # nearest-rank percentiles land within one bucket of the exact ones
+        ordered = sorted(samples)
+        for q in (0.5, 0.99):
+            exact_ms = 1e3 * ordered[int(q * (len(samples) - 1) + 0.5)]
+            assert abs(hist.percentile_ms(q) - exact_ms) <= 0.0625 * exact_ms
 
 
 class TestCrashRecovery:

@@ -1,6 +1,6 @@
 """FleetKernel: lockstep SoA simulation vs per-engine ground truth.
 
-Four layers of protection for the batched kernel (DESIGN.md §8):
+Five layers of protection for the batched kernel (DESIGN.md §8):
 
 * **value-oracle properties** -- kernel fleets return exactly the
   per-engine values on random workloads, for both the lockstep advance and
@@ -14,15 +14,23 @@ Four layers of protection for the batched kernel (DESIGN.md §8):
 * **overflow fallbacks** (ISSUE 5 satellite) -- queries past the int64
   guard fall back to exact big-int arithmetic on both backends, agreeing
   with the vectorized path right at the boundary, and workloads that fail
-  the construction-time certification never engage the kernel.
+  the construction-time certification never engage the kernel;
+* **online ingest** -- random interleavings of batched and one-at-a-time
+  submits with lockstep advances, FIFO drives and keyed fills agree with
+  a per-engine oracle after every step, and a submit never rewrites the
+  (append-only) start log.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms.base import members_mask
+from repro.algorithms.base import fair_select, members_mask
 from repro.algorithms.direct import DirectContributionScheduler
 from repro.algorithms.greedy import fifo_select
 from repro.algorithms.rand import RandScheduler
@@ -31,12 +39,14 @@ from repro.core import kernel as kernel_mod
 from repro.core.coalition import iter_members, iter_subsets
 from repro.core.engine import ClusterEngine
 from repro.core.fleet import CoalitionFleet
+from repro.core.job import Job
 from repro.core.kernel import (
     KERNEL_MIN_ENGINES,
     FleetKernel,
     KernelEngineView,
     kernel_certified,
 )
+from repro.core.schedule import Schedule
 
 from .conftest import make_workload, random_workload
 
@@ -559,3 +569,247 @@ class TestKernelInternals:
         kern.drive_fifo(10)
         assert kern.t == 10
         assert kern.next_event_time() is None
+
+
+def engine_state(eng: ClusterEngine) -> tuple:
+    """Every field a materialized engine must reproduce.  The released
+    stream prefix is compared as a sorted list: an engine keeps it in
+    release-processing order, which only differs from canonical order for
+    a job submitted at the current time after that time's releases, and
+    no scheduling step reads the prefix."""
+    pos = eng._stream_pos
+    return (
+        eng.t,
+        eng.members,
+        eng.machine_owner,
+        sorted(eng._stream[:pos]),
+        eng._stream[pos:],
+        {u: list(q) for u, q in eng._pending.items()},
+        eng._free_set,
+        sorted(eng._busy),
+        {m: (r.job, r.start, r.machine) for m, r in eng._running.items()},
+        eng._done_units,
+        eng._done_wstart,
+        eng._done_units_mach,
+        eng._done_wstart_mach,
+        (eng._tot_units, eng._tot_wstart),
+        (eng._run_start_sum, eng._run_start_sq),
+        eng._log,
+        eng._completed,
+    )
+
+
+def log_prefix(kern: FleetKernel) -> list:
+    n = kern._log_len
+    return [
+        getattr(kern, name)[:n].copy()
+        for name in ("_log_row", "_log_start", "_log_mach", "_log_job")
+    ]
+
+
+INGEST_K = 3
+INGEST_MASKS = all_masks(INGEST_K)
+
+_job = st.tuples(
+    st.integers(0, INGEST_K - 1),  # org
+    st.integers(0, 3),  # release offset: collisions across orgs are common
+    st.sampled_from([1, 2, 3, 5]),  # size
+)
+_ops = st.one_of(
+    st.tuples(
+        st.just("submit"),
+        st.lists(_job, min_size=1, max_size=7),
+        st.lists(st.integers(1, 4), max_size=7),  # submit_many chunk sizes
+    ),
+    st.tuples(st.just("advance"), st.integers(0, 4)),
+    st.tuples(st.just("drive"), st.integers(0, 6)),
+    st.tuples(
+        st.just("fill"),
+        st.lists(st.booleans(), min_size=len(INGEST_MASKS),
+                 max_size=len(INGEST_MASKS)),
+        st.lists(st.integers(-4, 4), min_size=len(INGEST_MASKS) * INGEST_K,
+                 max_size=len(INGEST_MASKS) * INGEST_K),
+    ),
+)
+
+
+class IngestHarness:
+    """Three simulations of one fleet fed the same online stream: a kernel
+    ingesting random ``submit_many`` batches, a kernel ingesting one job at
+    a time, and a forced-engines :class:`CoalitionFleet` oracle."""
+
+    def __init__(self, wl) -> None:
+        self.batched = FleetKernel(wl, INGEST_MASKS)
+        self.single = FleetKernel(wl, INGEST_MASKS)
+        self.oracle = CoalitionFleet(wl, INGEST_MASKS, backend="engines")
+        self.next_index = [0] * INGEST_K
+        self.last_rel = [0] * INGEST_K
+        for j in wl.jobs:
+            self.next_index[j.org] = max(self.next_index[j.org], j.index + 1)
+            self.last_rel[j.org] = max(self.last_rel[j.org], j.release)
+
+    @property
+    def t(self) -> int:
+        return self.batched.t
+
+    def engines(self) -> "list[ClusterEngine]":
+        return [self.oracle.engine(m) for m in INGEST_MASKS]
+
+    def submit(self, triples, chunks) -> None:
+        jobs = []
+        for org, offset, size in triples:
+            # FIFO-valid per org; equal releases across orgs meet at the
+            # org-window boundaries of the flat stream
+            rel = max(self.t + offset, self.last_rel[org])
+            jobs.append(Job(rel, org, self.next_index[org], size))
+            self.next_index[org] += 1
+            self.last_rel[org] = rel
+        before = [log_prefix(k) for k in (self.batched, self.single)]
+        i = 0
+        for n in list(chunks) + [len(jobs)]:
+            if i < len(jobs):
+                self.batched.submit_many(jobs[i : i + n])
+                i += n
+        for job in jobs:
+            self.single.submit(job)
+        self.oracle.submit_many(jobs)
+        # ingest is append-only: not one logged start moved or changed
+        for kern, old in zip((self.batched, self.single), before):
+            for got, want in zip(log_prefix(kern), old):
+                assert got.tobytes() == want.tobytes()
+
+    def advance(self, dt: int) -> None:
+        t = self.t + dt
+        self.batched.advance(t)
+        self.single.advance(t)
+        for eng in self.engines():
+            eng.advance_to(t)
+
+    def drive(self, dt: int) -> None:
+        until = self.t + dt
+        self.batched.drive_fifo(until)
+        self.single.drive_fifo(until)
+        self.oracle.drive_all(fifo_select, until)
+
+    def fill(self, row_mask, flat_keys) -> None:
+        rows = np.flatnonzero(row_mask)
+        keys = np.array(flat_keys, dtype=np.int64).reshape(-1, INGEST_K)
+        self.batched.fill_rows(rows, keys[rows], self.t)
+        self.single.fill_rows(rows, keys[rows], self.t)
+        for r in rows:
+            eng = self.oracle.engine(INGEST_MASKS[r])
+            key = dict(enumerate(keys[r].tolist()))
+            while eng.free_count > 0 and eng.has_waiting():
+                eng.start_next(fair_select(eng.waiting_orgs(), key))
+
+    def check(self) -> None:
+        t = self.t
+        past = sorted({0, t // 2, max(t - 1, 0)})
+        engines = self.engines()
+        for tp in past:
+            want = [eng.value(tp) for eng in engines]
+            assert self.batched.values_retro(tp).tolist() == want, tp
+            assert self.single.values_retro(tp).tolist() == want, tp
+        for r, eng in enumerate(engines):
+            assert eng.t == t
+            entries = self.batched.row_entries(r)
+            assert entries == self.single.row_entries(r)
+            assert Schedule(entries) == eng.schedule()
+            for tq in past + [t, t + 3]:
+                want = eng.psis(tq)
+                assert self.batched.row_psis(r, tq) == want, (r, tq)
+                assert self.single.row_psis(r, tq) == want, (r, tq)
+            state = engine_state(eng)
+            assert engine_state(self.batched.materialize_row(r)) == state
+            assert engine_state(self.single.materialize_row(r)) == state
+
+
+class TestOnlineIngest:
+    """Batched ingest == one-at-a-time ingest == per-engine oracle, after
+    every step of a random online interleaving."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(seed=st.integers(0, 2**16), ops=st.lists(_ops, max_size=14))
+    def test_random_interleavings_match_oracles(self, seed, ops):
+        rng = np.random.default_rng(seed)
+        wl = random_workload(
+            rng, n_orgs=INGEST_K, n_jobs=8, max_release=6,
+            machine_counts=[2, 1, 1],
+        )
+        h = IngestHarness(wl)
+        h.check()
+        for op, *args in ops:
+            getattr(h, op)(*args)
+            h.check()
+        h.drive(60)  # run everything out
+        h.check()
+
+    def test_same_release_org_boundaries_in_one_batch(self):
+        """A batch whose jobs of different orgs share a release lands each
+        at its own org window, exactly like sequential submits."""
+        wl = make_workload([2, 1, 1], [(0, 0, 2), (0, 1, 3), (1, 2, 1)])
+        h = IngestHarness(wl)
+        h.drive(1)
+        h.submit([(2, 2, 2), (0, 2, 1), (1, 2, 3), (2, 2, 1), (0, 2, 5)], [5])
+        h.check()
+        h.drive(4)
+        h.check()
+        h.drive(40)
+        h.check()
+
+
+    def test_submit_at_current_time_after_its_releases(self):
+        """A job submitted at ``t`` after the releases at ``t`` were
+        processed stays unreleased; a materialized row must not put it in
+        the released stream prefix (it would never start)."""
+        wl = make_workload([2, 1, 1], [(0, 0, 3), (5, 0, 3), (5, 2, 1)])
+        h = IngestHarness(wl)
+        h.advance(5)
+        h.submit([(0, 0, 1)], [])  # release 5 == t, org window of org 0
+        h.check()
+        h.drive(30)
+        h.check()
+
+
+class TestAppendOnlyStartLog:
+    def test_submits_never_rewrite_the_log(self, rng):
+        wl = random_workload(rng, n_orgs=3, n_jobs=18, max_release=6)
+        kern = FleetKernel(wl, all_masks(3))
+        kern.drive_fifo(5)
+        assert kern._log_len > 0
+        before = log_prefix(kern)
+        early = [Job(5, u, 100 + i, 1 + i) for i, u in enumerate((2, 0, 1))]
+        kern.submit_many(early)  # lands *before* unreleased stream jobs
+        kern.submit(Job(5, 1, 200, 4))
+        kern.submit_many([Job(7, 0, 300, 2), Job(6, 2, 300, 3)])
+        assert kern._log_len == len(before[0])
+        for got, want in zip(log_prefix(kern), before):
+            assert got.tobytes() == want.tobytes()
+        # and the unchanged log still names the right jobs
+        kern.drive_fifo(60)
+        for got, want in zip(log_prefix(kern), before):
+            assert got[: len(want)].tobytes() == want.tobytes()
+        started = [kern.jobs_by_id[i] for i in kern._log_job[: kern._log_len]]
+        assert set(started) == set(kern.jobs_by_id)
+
+    @pytest.mark.parametrize("method", ["submit", "submit_many"])
+    def test_ingest_code_never_touches_the_log(self, method):
+        source = inspect.getsource(getattr(FleetKernel, method))
+        assert "_log" not in source
+
+    def test_unsafe_batch_allocates_no_ids(self, rng):
+        wl = random_workload(rng, n_orgs=2, n_jobs=6, max_release=4)
+        kern = FleetKernel(wl, all_masks(2))
+        kern.drive_fifo(4)
+        n_ids = len(kern.jobs_by_id)
+        huge = [Job(5, 0, 50, 1 << 33), Job(5, 1, 50, 1)]
+        with pytest.raises(kernel_mod.KernelUnsafe):
+            kern.submit_many(huge)
+        with pytest.raises(kernel_mod.KernelUnsafe):
+            kern.submit(huge[0])
+        assert len(kern.jobs_by_id) == n_ids
+        assert len(kern.id_flat) == len(kern.rel_flat) - 1 == n_ids
